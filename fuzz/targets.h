@@ -1,4 +1,6 @@
-// Fuzz-target entry points, one per untrusted-input surface.
+// Fuzz-target entry points: one per untrusted file format the library
+// reads (CSV datasets, SLDM density maps), plus a differential target that
+// holds every method to the long-double oracle.
 //
 // Each function has the libFuzzer contract (take a byte buffer, return 0,
 // never crash on ANY input) but is a plain named function so the same code
@@ -10,8 +12,8 @@
 //   * called directly from tests/fuzz/corpus_regression_test.cc so every
 //     past crasher is replayed as a plain ctest on every build.
 //
-// The targets do more than "don't crash": whenever a loader/decoder
-// ACCEPTS an input, they re-assert the validation layer's postconditions
+// The targets do more than "don't crash": whenever a loader ACCEPTS an
+// input, they re-assert the validation layer's postconditions
 // (dims within InputLimits, coordinates finite and capped, densities
 // finite) and abort on violation — so the fuzzers also hunt for inputs
 // that sneak past util/validate.h, not just for memory bugs.
@@ -29,10 +31,6 @@ int FuzzCsvLoader(const uint8_t* data, size_t size);
 /// SLDM density-map loader (kdv/density_io.h). The whole buffer is the
 /// file image.
 int FuzzDensityLoader(const uint8_t* data, size_t size);
-
-/// Render-parameter decoder (serve/request_validator.h). The buffer is
-/// the query string.
-int FuzzRenderParams(const uint8_t* data, size_t size);
 
 /// Differential target: decodes the buffer into a small KDV task, renders
 /// it with ALL TEN methods in their exact configurations, and aborts if

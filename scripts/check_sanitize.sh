@@ -31,7 +31,7 @@ case "$MODE" in
     ;;
   tsan)
     SANITIZE="thread"
-    TEST_REGEX="${TEST_REGEX-Parallel|Cancellation|ThreadPool|ExecContext|Deadline|Engine|Serving|Chaos|Breaker|Admission|Retry|Backoff|Resilient}"
+    TEST_REGEX="${TEST_REGEX-Parallel|Cancellation|ThreadPool|ExecContext|Deadline|Engine}"
     ;;
   *)
     echo "usage: $0 asan|ubsan|tsan" >&2

@@ -28,13 +28,12 @@ DESIGN.md §13); this linter keeps the purely textual rules:
                      envelope scanner) carry explicit waivers.
 
   retry-backoff      A loop whose header names a retry/attempt counter must
-                     reference a backoff (Backoff/RetryPolicy/
-                     DelayBeforeRetry) or poll its budget (Deadline/
-                     ExecCheck/Check) inside the loop. A bare retry loop
-                     hot-spins on a failing dependency and ignores the
-                     request deadline — the resilience layer (util/backoff.h,
-                     serve/resilient_render.cc) exists so nobody hand-rolls
-                     one.
+                     sleep a backoff between attempts or poll its budget
+                     (Deadline/ExecCheck/Check) inside the loop. A bare
+                     retry loop hot-spins on a failing dependency and
+                     ignores the request deadline; stepping down the
+                     degradation ladder (explore/degrade.h, RenderOnLadder)
+                     is the repo's answer to a failed attempt.
 
 Each rule can be waived on a single line with `// lint:allow(<rule>)` plus
 a reason in the surrounding comment.
@@ -250,8 +249,8 @@ def check_retry_backoff(f: SourceFile) -> list[Violation]:
                 "retry-backoff",
                 "retry/attempt loop with no backoff and no deadline/"
                 "ExecContext poll: hot-spins on failure and can outlive the "
-                "request budget; use RetryPolicy + Backoff (util/backoff.h) "
-                "or poll ExecCheck/Deadline inside the loop",
+                "request budget; sleep a backoff between attempts or poll "
+                "ExecCheck/Deadline inside the loop",
             )
         )
     return out

@@ -33,11 +33,11 @@ fi
 
 cmake -B "$build_dir" -S "$repo_root" "${cmake_args[@]}"
 cmake --build "$build_dir" -j "$jobs" --target \
-  fuzz_csv fuzz_density fuzz_params fuzz_differential
+  fuzz_csv fuzz_density fuzz_differential
 
 mkdir -p "$build_dir/fuzz-artifacts"
 status=0
-for name in csv density params differential; do
+for name in csv density differential; do
   corpus="$repo_root/fuzz/corpus/$name"
   crashers="$repo_root/fuzz/crashers/$name"
   extra_dirs=()

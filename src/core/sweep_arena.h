@@ -4,7 +4,7 @@
 // here so a row costs zero allocations once the arena has grown to the
 // task's high-water mark, and — via the thread-local borrow in ScopedArena —
 // consecutive computes on the same thread (parallel stripes, animation
-// frames, serving retries) reuse the same heap instead of re-growing it.
+// frames, degradation-ladder rungs) reuse the same heap instead of re-growing it.
 //
 // Accounting contract: the arena's heap is charged against the borrowing
 // compute's ExecContext memory budget (ScopedMemoryCharge over HeapBytes())

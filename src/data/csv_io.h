@@ -28,8 +28,8 @@ struct CsvLoadOptions {
   /// fields); see util/csv.h.
   CsvOptions csv;
   /// Upper bound on accepted data rows; rows beyond it fail the load
-  /// (0 = unlimited). Serving surfaces pass a bound so one upload cannot
-  /// exhaust memory.
+  /// (0 = unlimited). A caller loading untrusted files passes a bound so
+  /// one upload cannot exhaust memory.
   size_t max_rows = 0;
 };
 

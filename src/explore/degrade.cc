@@ -1,8 +1,12 @@
 #include "explore/degrade.h"
 
 #include <algorithm>
+#include <utility>
 
+#include "kdv/task.h"
+#include "util/exec_context.h"
 #include "util/string_util.h"
+#include "util/timer.h"
 
 namespace slam {
 
@@ -81,6 +85,52 @@ std::optional<DegradeStep> DegradeLadderStep(DegradeMode mode, int level,
     }
   }
   return std::nullopt;
+}
+
+Result<RenderOutcome> RenderOnLadder(const PointDataset& data,
+                                     const Viewport& viewport,
+                                     KernelType kernel, double bandwidth,
+                                     Method method,
+                                     const EngineOptions& engine,
+                                     DegradeMode mode, int max_halvings,
+                                     double rung_budget_seconds) {
+  const ExecContext* base_exec = engine.compute.exec;
+  RenderOutcome outcome;
+  for (int level = 0;; ++level) {
+    const auto step =
+        DegradeLadderStep(mode, level, max_halvings, viewport.width_px(),
+                          viewport.height_px(), method);
+    if (!step) break;  // ladder exhausted
+    // Each rung gets its own deadline (a Deadline cannot be re-armed);
+    // cancellation, budget and fault injector pass through unchanged.
+    ExecContext rung_exec;
+    if (base_exec != nullptr) rung_exec = *base_exec;
+    Deadline rung_deadline(rung_budget_seconds);
+    if (rung_budget_seconds > 0.0) rung_exec.set_deadline(&rung_deadline);
+    EngineOptions rung_engine = engine;
+    rung_engine.compute.exec = &rung_exec;
+
+    SLAM_ASSIGN_OR_RETURN(
+        const Viewport rung_viewport,
+        Viewport::Create(viewport.region(), step->width, step->height));
+    const KdvTask task = MakeTask(data, rung_viewport, kernel, bandwidth);
+    auto map = ComputeKdv(task, step->method, rung_engine);
+    if (map.ok()) {
+      outcome.map = *std::move(map);
+      outcome.degrade_level = level;
+      outcome.fidelity = step->fidelity;
+      outcome.method = step->method;
+      return outcome;
+    }
+    if (level == 0) outcome.full_res_status = map.status();
+    // DeadlineExceeded / ResourceExhausted are pressure, answerable at a
+    // lower rung; Cancelled is the user saying "stop", and anything else
+    // (InvalidArgument, IoError, ...) would fail identically at any rung.
+    const bool degradable = map.status().IsDeadlineExceeded() ||
+                            map.status().IsResourceExhausted();
+    if (!degradable) return map.status();
+  }
+  return outcome.full_res_status;
 }
 
 }  // namespace slam

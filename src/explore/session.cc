@@ -1,10 +1,8 @@
 #include "explore/session.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "kdv/bandwidth.h"
-#include "util/string_util.h"
 
 namespace slam {
 
@@ -105,46 +103,10 @@ Result<DensityMap> ExplorerSession::Render() const {
 }
 
 Result<RenderOutcome> ExplorerSession::RenderAdaptive() const {
-  const ExecContext* base_exec = config_.engine.compute.exec;
-  RenderOutcome outcome;
-  const int max_halvings = std::max(0, config_.max_degrade_retries);
-  for (int level = 0;; ++level) {
-    const auto step =
-        DegradeLadderStep(config_.degrade_mode, level, max_halvings,
-                          config_.width_px, config_.height_px, config_.method);
-    if (!step) break;  // ladder exhausted
-    // Each attempt gets its own deadline (a Deadline cannot be re-armed);
-    // cancellation, budget and fault injector pass through unchanged.
-    ExecContext attempt_exec;
-    if (base_exec != nullptr) attempt_exec = *base_exec;
-    Deadline attempt_deadline(config_.render_budget_seconds);
-    if (config_.render_budget_seconds > 0.0) {
-      attempt_exec.set_deadline(&attempt_deadline);
-    }
-    EngineOptions attempt_engine = config_.engine;
-    attempt_engine.compute.exec = &attempt_exec;
-
-    auto attempt_viewport =
-        Viewport::Create(viewport_.region(), step->width, step->height);
-    if (!attempt_viewport.ok()) return attempt_viewport.status();
-    const KdvTask task =
-        MakeTask(filtered_, *attempt_viewport, config_.kernel, bandwidth_);
-    auto map = ComputeKdv(task, step->method, attempt_engine);
-    if (map.ok()) {
-      outcome.map = *std::move(map);
-      outcome.degrade_level = level;
-      outcome.fidelity = step->fidelity;
-      return outcome;
-    }
-    if (level == 0) outcome.full_res_status = map.status();
-    // DeadlineExceeded / ResourceExhausted are pressure, answerable at a
-    // lower rung; Cancelled is the user saying "stop", and anything else
-    // (InvalidArgument, IoError, ...) would fail identically at any rung.
-    const bool degradable = map.status().IsDeadlineExceeded() ||
-                            map.status().IsResourceExhausted();
-    if (!degradable) return map.status();
-  }
-  return outcome.full_res_status;
+  return RenderOnLadder(filtered_, viewport_, config_.kernel, bandwidth_,
+                        config_.method, config_.engine, config_.degrade_mode,
+                        config_.max_degrade_retries,
+                        config_.render_budget_seconds);
 }
 
 }  // namespace slam

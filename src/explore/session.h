@@ -37,20 +37,6 @@ struct SessionConfig {
   DegradeMode degrade_mode = DegradeMode::kHalfRes;
 };
 
-/// Result of an adaptive render: the raster actually produced, how many
-/// halvings were needed to get it, and (when degraded) why full resolution
-/// failed.
-struct RenderOutcome {
-  DensityMap map;
-  /// 0 = full resolution; k = rendered at width/2^k x height/2^k (the
-  /// sampled rung reuses the coarsest halving's resolution).
-  int degrade_level = 0;
-  /// What was actually served; never kFull when degrade_level > 0.
-  Fidelity fidelity = Fidelity::kFull;
-  /// OK at degrade_level 0, else the full-resolution attempt's error.
-  Status full_res_status;
-};
-
 class ExplorerSession {
  public:
   /// Takes a copy of the dataset. Initial viewport = dataset MBR.
@@ -79,14 +65,11 @@ class ExplorerSession {
   /// Computes the density raster for the current state.
   Result<DensityMap> Render() const;
 
-  /// Render with graceful degradation: when an attempt fails with
-  /// DeadlineExceeded (deadline) or ResourceExhausted (memory budget),
-  /// steps down the degradation ladder (explore/degrade.h) — half the
-  /// resolution per rung, then (config.degrade_mode == kSample) a Z-order
-  /// sampled rung. A render_budget_seconds > 0 arms a fresh per-attempt
-  /// deadline. Cancelled is honoured immediately — the user asked to
-  /// stop, so no degraded retry is attempted. Errors other than
-  /// DeadlineExceeded / ResourceExhausted propagate unchanged.
+  /// Render with graceful degradation: RenderOnLadder (explore/degrade.h)
+  /// over the current state, with config.degrade_mode,
+  /// config.max_degrade_retries halvings and config.render_budget_seconds
+  /// per rung. DeadlineExceeded / ResourceExhausted step down the ladder;
+  /// Cancelled and every other error return unchanged.
   Result<RenderOutcome> RenderAdaptive() const;
 
   // -- Introspection ----------------------------------------------------

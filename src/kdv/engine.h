@@ -68,9 +68,8 @@ struct EngineOptions {
 /// safe provided each call's options.compute.exec is either null or not
 /// shared mutably: ExecContext itself is internally synchronized, so even a
 /// shared context is safe; sharing one merely couples the callers'
-/// cancellation/deadline/budget, which the serving core exploits on
-/// purpose. This guarantee is what lets src/serve run one engine over many
-/// concurrent requests without a lock around the compute path.
+/// cancellation/deadline/budget (ComputeKdvParallel's stripes share one on
+/// purpose).
 Result<DensityMap> ComputeKdv(const KdvTask& task, Method method,
                               const EngineOptions& options = {});
 

@@ -22,19 +22,12 @@ bool CpuSupports(SimdLevel level) {
 #else
       return false;
 #endif
-    case SimdLevel::kNeon:
-#if defined(__aarch64__) || defined(__ARM_NEON)
-      return true;  // NEON is baseline on AArch64
-#else
-      return false;
-#endif
   }
   return false;
 }
 
 SimdLevel DetectOnce() {
   if (SimdLevelAvailable(SimdLevel::kAvx2)) return SimdLevel::kAvx2;
-  if (SimdLevelAvailable(SimdLevel::kNeon)) return SimdLevel::kNeon;
   return SimdLevel::kScalar;
 }
 
@@ -48,8 +41,6 @@ std::string_view SimdLevelName(SimdLevel level) {
       return "scalar";
     case SimdLevel::kAvx2:
       return "avx2";
-    case SimdLevel::kNeon:
-      return "neon";
   }
   return "?";
 }
@@ -59,9 +50,8 @@ Result<SimdLevel> SimdLevelFromName(std::string_view name) {
   if (lower == "auto") return SimdLevel::kAuto;
   if (lower == "scalar" || lower == "none") return SimdLevel::kScalar;
   if (lower == "avx2") return SimdLevel::kAvx2;
-  if (lower == "neon") return SimdLevel::kNeon;
   return Status::InvalidArgument("unknown SIMD level '" + std::string(name) +
-                                 "' (want auto|scalar|avx2|neon)");
+                                 "' (want auto|scalar|avx2)");
 }
 
 bool SimdLevelAvailable(SimdLevel level) {
@@ -71,8 +61,6 @@ bool SimdLevelAvailable(SimdLevel level) {
       return true;
     case SimdLevel::kAvx2:
       return GetAvx2Ops() != nullptr && CpuSupports(level);
-    case SimdLevel::kNeon:
-      return GetNeonOps() != nullptr && CpuSupports(level);
   }
   return false;
 }

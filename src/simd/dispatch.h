@@ -25,14 +25,13 @@ enum class SimdLevel : int {
   kAuto = 0,    // resolve to the best available backend at runtime
   kScalar = 1,  // portable reference path, always available
   kAvx2 = 2,    // x86-64 AVX2 (256-bit, 4 doubles per op)
-  kNeon = 3,    // AArch64 NEON (128-bit, 2 doubles per op)
 };
 
 std::string_view SimdLevelName(SimdLevel level);
 Result<SimdLevel> SimdLevelFromName(std::string_view name);
 
 /// True when `level` can actually run here: the backend was compiled in
-/// (the AVX2/NEON translation units are arch-gated) and the CPU reports
+/// (the AVX2 translation unit is arch-gated) and the CPU reports
 /// the feature at runtime. kScalar is always available; kAuto is always
 /// "available" (it resolves to something that is).
 bool SimdLevelAvailable(SimdLevel level);

@@ -153,12 +153,11 @@ struct SimdOps {
                     RowSweepScratch* scratch) = nullptr;
 };
 
-/// Backend tables. The vector getters return nullptr when the backend is
-/// not compiled into this binary (arch-gated translation units); they do
+/// Backend tables. The AVX2 getter returns nullptr when the backend is
+/// not compiled into this binary (arch-gated translation unit); it does
 /// NOT check CPU features — that is SimdLevelAvailable's job.
 const SimdOps* GetScalarOps();
 const SimdOps* GetAvx2Ops();
-const SimdOps* GetNeonOps();
 
 /// Resolves `level` (kAuto → best available) and returns its ops table;
 /// InvalidArgument when a pinned level cannot run on this build/CPU.

@@ -51,8 +51,6 @@ Result<const SimdOps*> GetSimdOps(SimdLevel level) {
       return GetScalarOps();
     case SimdLevel::kAvx2:
       return GetAvx2Ops();
-    case SimdLevel::kNeon:
-      return GetNeonOps();
     case SimdLevel::kAuto:
       break;  // ResolveSimdLevel never returns kAuto
   }

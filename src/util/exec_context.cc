@@ -30,29 +30,10 @@ void FaultInjector::Arm(std::string_view site, int64_t after_hits,
   traps_[std::string(site)] = Trap{after_hits, std::move(status)};
 }
 
-Status FaultInjector::ArmProbabilistic(std::string_view site,
-                                       double probability, Status status) {
-  if (!(probability >= 0.0 && probability <= 1.0)) {  // rejects NaN too
-    return Status::InvalidArgument(
-        StringPrintf("fault probability for %.*s must be in [0, 1], got %g",
-                     static_cast<int>(site.size()), site.data(), probability));
-  }
-  if (status.ok()) {
-    return Status::InvalidArgument(
-        "a probabilistic trap must deliver a non-OK status");
-  }
-  MutexLock lock(&mutex_);
-  random_traps_[std::string(site)] =
-      RandomTrap{probability, std::move(status)};
-  return Status::OK();
-}
-
 void FaultInjector::Disarm(std::string_view site) {
   MutexLock lock(&mutex_);
   const auto it = traps_.find(site);
   if (it != traps_.end()) traps_.erase(it);
-  const auto rit = random_traps_.find(site);
-  if (rit != random_traps_.end()) random_traps_.erase(rit);
 }
 
 Status FaultInjector::Hit(std::string_view site) {
@@ -67,17 +48,7 @@ Status FaultInjector::Hit(std::string_view site) {
       --trap.remaining;
       continue;
     }
-    ++injected_;
     return trap.status;
-  }
-  for (const auto key : {site, std::string_view("*")}) {
-    const auto it = random_traps_.find(key);
-    if (it == random_traps_.end()) continue;
-    const RandomTrap& trap = it->second;
-    if (trap.probability > 0.0 && rng_.NextDouble() < trap.probability) {
-      ++injected_;
-      return trap.status;
-    }
   }
   return Status::OK();
 }
@@ -87,11 +58,6 @@ int64_t FaultInjector::HitCount(std::string_view site) const {
   if (site == "*") return total_hits_;
   const auto it = hits_.find(site);
   return it == hits_.end() ? 0 : it->second;
-}
-
-int64_t FaultInjector::InjectedCount() const {
-  MutexLock lock(&mutex_);
-  return injected_;
 }
 
 Status ExecContext::Check(std::string_view site) const {

@@ -1,10 +1,10 @@
 // Hardened execution layer for every compute path. An ExecContext bundles
-// the four resource-governance concerns a production KDV service needs:
+// the four resource-governance concerns an interactive KDV render needs:
 //
 //  * a cooperative CancellationToken (a pan superseding an in-flight
 //    render, a client disconnect, ...),
 //  * the wall-clock Deadline (the paper's ">14400 sec" censoring rule,
-//    Table 7, at serving scale),
+//    Table 7, at interactive scale),
 //  * a byte-accounted MemoryBudget that refuses work before an allocation
 //    would exceed it (pre-flighted with EstimateAuxiliarySpaceBytes, then
 //    tracked against actual workspace allocations), and
@@ -25,7 +25,6 @@
 #include <string_view>
 
 #include "util/mutex.h"
-#include "util/random.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
 #include "util/timer.h"
@@ -84,69 +83,35 @@ class MemoryBudget {
 };
 
 /// Deterministic fault injection for tests: arm a checkpoint site to start
-/// failing after a number of hits, or to fail each hit independently with
-/// a fixed probability. Sites are the string names passed to
+/// failing after a number of hits. Sites are the string names passed to
 /// ExecContext::Check / ChargeMemory (e.g. "slam_bucket/row",
 /// "parallel/stripe"); the wildcard site "*" traps every checkpoint.
 /// Thread-safe; hit counting is global across threads, which makes
 /// "fail stripe k of N" a single Arm("parallel/stripe", k-1, ...) call.
-///
-/// All randomness flows through one seeded generator, so a chaos run is
-/// reproducible from its logged seed() alone (the draw sequence is still
-/// subject to thread interleaving, but the fault *rate* and marginal
-/// distribution are identical for a given seed).
 class FaultInjector {
  public:
-  /// The default seed keeps single-threaded tests bit-reproducible; chaos
-  /// suites pass their own (logged) seed.
-  explicit FaultInjector(uint64_t seed = 0x5eed5eedULL) : rng_(seed),
-                                                          seed_(seed) {}
-
   /// After `after_hits` successful hits, every later Hit() on `site`
   /// returns `status` (sticky). after_hits = 0 trips on the first hit.
   void Arm(std::string_view site, int64_t after_hits, Status status);
 
-  /// Every Hit() on `site` independently returns `status` with the given
-  /// probability (non-sticky — the next hit draws afresh). Rejects
-  /// probabilities outside [0, 1] (including NaN) and an OK `status` with
-  /// InvalidArgument instead of clamping: a chaos config typo must fail
-  /// loudly, not silently dilute the fault rate.
-  Status ArmProbabilistic(std::string_view site, double probability,
-                          Status status);
-
-  /// Removes both the deterministic and the probabilistic trap on `site`.
+  /// Removes the trap on `site`.
   void Disarm(std::string_view site);
 
   /// Called by ExecContext at every checkpoint; OK unless a trap tripped.
   Status Hit(std::string_view site);
   /// Hits recorded for an exact site name; "*" returns the global total.
   int64_t HitCount(std::string_view site) const;
-  /// Injected failures delivered so far (deterministic + probabilistic).
-  int64_t InjectedCount() const;
-
-  /// The seed this injector draws from — log it so a chaos failure can be
-  /// replayed.
-  uint64_t seed() const { return seed_; }
 
  private:
   struct Trap {
     int64_t remaining = 0;  // hits to pass through before tripping
     Status status;
   };
-  struct RandomTrap {
-    double probability = 0.0;
-    Status status;
-  };
 
   mutable Mutex mutex_;
   std::map<std::string, Trap, std::less<>> traps_ SLAM_GUARDED_BY(mutex_);
-  std::map<std::string, RandomTrap, std::less<>> random_traps_
-      SLAM_GUARDED_BY(mutex_);
   std::map<std::string, int64_t, std::less<>> hits_ SLAM_GUARDED_BY(mutex_);
   int64_t total_hits_ SLAM_GUARDED_BY(mutex_) = 0;
-  int64_t injected_ SLAM_GUARDED_BY(mutex_) = 0;
-  Rng rng_ SLAM_GUARDED_BY(mutex_);
-  uint64_t seed_;
 };
 
 /// The per-computation execution context. A value type holding non-owning
@@ -171,8 +136,9 @@ class ExecContext {
   /// injector, cancellation token, deadline. A tripped token surfaces as
   /// Status::Cancelled (the caller asked to stop); an expired deadline as
   /// Status::DeadlineExceeded (time ran out). The distinction matters to
-  /// the serving layer: a deadline miss is degradable/sheddable, a user
-  /// cancel is final. The bench harness censors on either code.
+  /// the degradation ladder (explore/degrade.h): a deadline miss is
+  /// degradable, a user cancel is final. The bench harness censors on
+  /// either code.
   Status Check(std::string_view site) const;
 
   /// Pre-flight: would a computation needing `bytes` of auxiliary space fit

@@ -30,8 +30,8 @@ class Timer {
 };
 
 /// Deadline for budgeted experiment cells (reproduces the paper's
-/// ">14400 sec" censoring rule at laptop scale) and for per-request
-/// serving budgets.
+/// ">14400 sec" censoring rule at laptop scale) and for per-render
+/// budgets (`slam_kdv --timeout-ms`, ExplorerSession::RenderAdaptive).
 ///
 /// A zero or negative budget is a deadline that has ALREADY passed: the
 /// holder fails fast instead of doing unbounded work, so a client that

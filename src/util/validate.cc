@@ -87,17 +87,4 @@ Status CheckBandwidth(double bandwidth) {
   return Status::OK();
 }
 
-Status CheckRegion(double min_x, double min_y, double max_x, double max_y) {
-  SLAM_RETURN_NOT_OK(CheckCoordinate(min_x, "region min x"));
-  SLAM_RETURN_NOT_OK(CheckCoordinate(min_y, "region min y"));
-  SLAM_RETURN_NOT_OK(CheckCoordinate(max_x, "region max x"));
-  SLAM_RETURN_NOT_OK(CheckCoordinate(max_y, "region max y"));
-  if (!(min_x < max_x) || !(min_y < max_y)) {
-    return Status::InvalidArgument(StringPrintf(
-        "region [%g, %g] x [%g, %g] is empty or inverted", min_x, max_x,
-        min_y, max_y));
-  }
-  return Status::OK();
-}
-
 }  // namespace slam

@@ -1,16 +1,16 @@
 // Shared validation layer for every untrusted-input surface: CSV datasets,
-// SLDM density-map files, CLI flags, and serving request parameters.
+// SLDM density-map files, and CLI flags.
 //
-// Once ServingCore sits behind an HTTP endpoint, every byte it touches is
-// attacker-controlled. The failure class this layer closes is *silent*
-// arithmetic corruption: a NaN coordinate poisons every aggregate it meets,
-// an Inf bandwidth turns the closed-form sweep polynomial into NaN - NaN, a
-// subnormal bandwidth survives a `> 0` test but overflows its reciprocal,
-// and a 2^31-scale grid dimension overflows the width*height product into
-// a small positive allocation. Each surface used to re-derive its own
-// subset of these checks; they now all call the helpers below, so the CLI,
-// the loaders, and the serving path reject the same hostile input with the
-// same typed Status.
+// A CSV export or a density-map file can come from anywhere, so every byte
+// read from one is untrusted. The failure class this layer closes is
+// *silent* arithmetic corruption: a NaN coordinate poisons every aggregate
+// it meets, an Inf bandwidth turns the closed-form sweep polynomial into
+// NaN - NaN, a subnormal bandwidth survives a `> 0` test but overflows its
+// reciprocal, and a 2^31-scale grid dimension overflows the width*height
+// product into a small positive allocation. Each surface used to re-derive its own
+// subset of these checks; they now all call the helpers below, so the CLIs
+// and the loaders reject the same hostile input with the same typed
+// Status.
 //
 // Contract: helpers return InvalidArgument with the offending field named,
 // never crash, and never mutate. Canonicalization (the only lossy step,
@@ -45,9 +45,9 @@ struct InputLimits {
   /// at 1e48, comfortably inside double range even summed over billions
   /// of points.
   static constexpr double kMaxCoordinateMagnitude = 1e12;
-  /// Bandwidth range for the serving path. The engine divides by b^2 and
-  /// b^4 (quartic kernel), so b must keep both the powers and their
-  /// reciprocals normal.
+  /// Bandwidth range for the CLIs' final bandwidth (after Scott's rule and
+  /// any scale). The engine divides by b^2 and b^4 (quartic kernel), so b
+  /// must keep both the powers and their reciprocals normal.
   static constexpr double kMinBandwidth = 1e-9;
   static constexpr double kMaxBandwidth = 1e12;
   /// CSV hardening caps (see util/csv.h): a single field, a single
@@ -57,9 +57,6 @@ struct InputLimits {
   static constexpr size_t kMaxCsvFieldBytes = 64 * 1024;
   static constexpr size_t kMaxCsvRecordBytes = 1024 * 1024;
   static constexpr size_t kMaxCsvFieldsPerRecord = 1024;
-  /// Per-request deadline cap (seconds). A deadline is untrusted input
-  /// too: an enormous value pins a slot for the request's whole life.
-  static constexpr double kMaxDeadlineSeconds = 3600.0;
 };
 
 /// NaN/Inf rejected; `what` names the field in the error message.
@@ -81,13 +78,9 @@ struct InputLimits {
 /// header fields before any narrowing.
 [[nodiscard]] Status CheckGridDims(int64_t width, int64_t height);
 
-/// Bandwidth on the serving path: CheckPositiveNormal plus the
+/// A user-supplied bandwidth: CheckPositiveNormal plus the
 /// [kMinBandwidth, kMaxBandwidth] range.
 [[nodiscard]] Status CheckBandwidth(double bandwidth);
-
-/// A rectangular region: all four corners valid coordinates and
-/// min < max on both axes (degenerate or inverted regions rejected).
-[[nodiscard]] Status CheckRegion(double min_x, double min_y, double max_x, double max_y);
 
 /// Canonical form of an untrusted coordinate: -0.0 becomes +0.0 and
 /// subnormals flush to 0.0, so "zero-ish" has one representation and

@@ -33,9 +33,8 @@ namespace {
 /// Every backend this binary can actually run, scalar first.
 std::vector<const SimdOps*> AvailableBackends() {
   std::vector<const SimdOps*> out{GetScalarOps()};
-  for (const SimdOps* ops : {GetAvx2Ops(), GetNeonOps()}) {
-    if (ops != nullptr && SimdLevelAvailable(ops->level)) out.push_back(ops);
-  }
+  const SimdOps* avx2 = GetAvx2Ops();
+  if (avx2 != nullptr && SimdLevelAvailable(avx2->level)) out.push_back(avx2);
   return out;
 }
 

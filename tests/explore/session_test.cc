@@ -171,6 +171,7 @@ TEST(SessionTest, RenderAdaptiveFullResolutionByDefault) {
   const auto outcome = session.RenderAdaptive();
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_EQ(outcome->degrade_level, 0);
+  EXPECT_EQ(outcome->fidelity, Fidelity::kFull);
   EXPECT_TRUE(outcome->full_res_status.ok());
   EXPECT_EQ(outcome->map.width(), 40);
   EXPECT_EQ(outcome->map.height(), 30);
@@ -203,6 +204,8 @@ TEST(SessionTest, RenderAdaptiveDegradesUnderMemoryPressure) {
   const auto outcome = session.RenderAdaptive();
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_EQ(outcome->degrade_level, 1);
+  EXPECT_EQ(outcome->fidelity, Fidelity::kHalfRes);
+  EXPECT_EQ(outcome->method, Method::kSlamBucket);
   EXPECT_EQ(outcome->full_res_status.code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(outcome->map.width(), 200);
   EXPECT_EQ(outcome->map.height(), 150);

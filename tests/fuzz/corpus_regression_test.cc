@@ -61,7 +61,6 @@ INSTANTIATE_TEST_SUITE_P(
     AllTargets, CorpusRegressionTest,
     ::testing::Values(TargetCase{"csv", &FuzzCsvLoader},
                       TargetCase{"density", &FuzzDensityLoader},
-                      TargetCase{"params", &FuzzRenderParams},
                       TargetCase{"differential", &FuzzDifferential}),
     [](const ::testing::TestParamInfo<TargetCase>& param_info) {
       return std::string(param_info.param.name);

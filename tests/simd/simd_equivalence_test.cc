@@ -3,9 +3,9 @@
 // scalar reference backend, once on the best level this machine detects —
 // and holds the pair to each other and to the long-double oracle at the
 // repo-wide 1e-9 gate. Widths are chosen odd (31, 33) so the 4-wide AVX2
-// and 2-wide NEON loops always leave a remainder tail, the classic place
-// for a vectorized sweep to go wrong; the ±1e7 offsets re-run the
-// adversarial-conditioning cases through both backends.
+// loops always leave a remainder tail, the classic place for a vectorized
+// sweep to go wrong; the ±1e7 offsets re-run the adversarial-conditioning
+// cases through both backends.
 //
 // On a machine with no vector backend the detected level is scalar and
 // the pair comparison is trivially exact; the oracle leg still bites.
@@ -163,7 +163,7 @@ TEST(SimdEquivalenceTest, PinnedUnavailableLevelFailsTheCompute) {
   task.grid = grid;
   task.bandwidth = 25.0;
   task.weight = 1.0;
-  for (const SimdLevel level : {SimdLevel::kAvx2, SimdLevel::kNeon}) {
+  for (const SimdLevel level : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
     if (SimdLevelAvailable(level)) continue;
     EngineOptions options;
     options.compute.simd = level;

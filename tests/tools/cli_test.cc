@@ -1,6 +1,6 @@
-// End-to-end tests of the slam_kdv and slam_load CLI binaries, run as
+// End-to-end tests of the slam_kdv and slam_diff CLI binaries, run as
 // subprocesses. The binary paths are injected by CMake via SLAM_CLI_PATH
-// and SLAM_LOAD_PATH.
+// and SLAM_DIFF_PATH.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -14,8 +14,8 @@ namespace {
 #ifndef SLAM_CLI_PATH
 #error "SLAM_CLI_PATH must be defined by the build"
 #endif
-#ifndef SLAM_LOAD_PATH
-#error "SLAM_LOAD_PATH must be defined by the build"
+#ifndef SLAM_DIFF_PATH
+#error "SLAM_DIFF_PATH must be defined by the build"
 #endif
 
 struct CommandResult {
@@ -42,8 +42,8 @@ CommandResult RunCli(const std::string& args) {
   return RunBinary(SLAM_CLI_PATH, args);
 }
 
-CommandResult RunLoad(const std::string& args) {
-  return RunBinary(SLAM_LOAD_PATH, args);
+CommandResult RunDiff(const std::string& args) {
+  return RunBinary(SLAM_DIFF_PATH, args);
 }
 
 // Writes a CSV whose final quoted field is truncated mid-record.
@@ -113,17 +113,22 @@ TEST(CliTest, SimdScalarPinRendersAndCompares) {
 }
 
 TEST(CliTest, SimdUnknownLevelIsUsageError) {
-  const auto result = RunCli(
-      "--city seattle --scale 0.0005 --width 10 --height 10 --simd sse9 "
-      "--output ''");
-  EXPECT_EQ(result.exit_code, 2) << result.output;
-  EXPECT_NE(result.output.find("unknown SIMD level"), std::string::npos);
+  // ARM builds run the scalar backend; there is no "neon" level to pin.
+  for (const char* level : {"sse9", "neon"}) {
+    const auto result = RunCli(
+        std::string("--city seattle --scale 0.0005 --width 10 --height 10 "
+                    "--simd ") +
+        level + " --output ''");
+    EXPECT_EQ(result.exit_code, 2) << level << ": " << result.output;
+    EXPECT_NE(result.output.find("unknown SIMD level"), std::string::npos)
+        << level << ": " << result.output;
+  }
 }
 
 TEST(CliTest, SimdUnavailableLevelFailsFast) {
-  // AVX2 and NEON are arch-exclusive, so at least one is always
-  // unavailable here; pinning it must be a hard error, not a fallback.
-  for (const char* level : {"avx2", "neon"}) {
+  // Pinning a level this host cannot run must be a hard error, not a
+  // fallback. On an AVX2 host every level runs and nothing is checked.
+  for (const char* level : {"scalar", "avx2"}) {
     const auto probe = RunCli(
         std::string("--city seattle --scale 0.0005 --width 10 --height 10 "
                     "--simd ") +
@@ -185,28 +190,48 @@ TEST(CliTest, TooFewPointsForScottBandwidthExitsTwo) {
   std::remove(path.c_str());
 }
 
-TEST(LoadCliTest, MissingInputFileExitsTwoWithMessage) {
-  const auto result =
-      RunLoad("--input /nonexistent/no_such_file.csv --clients 1 --requests 1");
-  EXPECT_EQ(result.exit_code, 2) << result.output;
-  EXPECT_NE(result.output.find("cannot load"), std::string::npos)
-      << result.output;
+TEST(CliTest, HostileBandwidthExitsTwoOnBothClis) {
+  // NaN, Inf, a subnormal and a value above InputLimits::kMaxBandwidth,
+  // given directly or produced by the scale.
+  for (const char* flag :
+       {"--bandwidth nan", "--bandwidth inf", "--bandwidth 1e-310",
+        "--bandwidth 1e13", "--bandwidth-scale nan"}) {
+    const std::string args =
+        std::string("--city seattle --scale 0.0005 --width 10 --height 10 ") +
+        flag;
+    for (const auto& result :
+         {RunCli(args + " --output ''"), RunDiff(args)}) {
+      EXPECT_EQ(result.exit_code, 2) << flag << ": " << result.output;
+      EXPECT_NE(result.output.find("bandwidth"), std::string::npos)
+          << flag << ": " << result.output;
+      EXPECT_EQ(result.output.find("Fatal"), std::string::npos)
+          << flag << ": " << result.output;
+    }
+  }
 }
 
-TEST(LoadCliTest, TruncatedCsvExitsTwoWithMessage) {
-  const std::string path = WriteTruncatedCsv("load_truncated.csv");
-  const auto result =
-      RunLoad("--input " + path + " --clients 1 --requests 1");
-  EXPECT_EQ(result.exit_code, 2) << result.output;
-  EXPECT_NE(result.output.find("cannot load"), std::string::npos)
-      << result.output;
-  std::remove(path.c_str());
-}
-
-TEST(LoadCliTest, UnknownCityExitsTwoNotAbort) {
-  const auto result = RunLoad("--city atlantis --clients 1 --requests 1");
-  EXPECT_EQ(result.exit_code, 2) << result.output;
-  EXPECT_NE(result.output.find("unknown city"), std::string::npos);
+TEST(CliTest, DegradeSampleServesUnderMemoryBudget) {
+  // At n ~ 17k every SLAM rung needs more than 1 MiB of workspace (~88
+  // bytes per point, whatever the resolution), while the Z-order rung
+  // needs 16 bytes per point.
+  const std::string args =
+      "--city seattle --scale 0.02 --width 400 --height 300 "
+      "--memory-budget-mb 1 --output '' --degrade ";
+  const auto off = RunCli(args + "off");
+  EXPECT_EQ(off.exit_code, 4) << off.output;
+  const auto sample = RunCli(args + "sample");
+  EXPECT_EQ(sample.exit_code, 0) << sample.output;
+  EXPECT_NE(sample.output.find("served sampled (ladder level 3)"),
+            std::string::npos)
+      << sample.output;
+  // The summary names the method that produced the map, at the coarsest
+  // rung's resolution.
+  EXPECT_NE(sample.output.find("Z-order (epanechnikov kernel"),
+            std::string::npos)
+      << sample.output;
+  EXPECT_NE(sample.output.find("100x75"), std::string::npos) << sample.output;
+  EXPECT_EQ(sample.output.find("SLAM_BUCKET_RAO"), std::string::npos)
+      << sample.output;
 }
 
 TEST(CliTest, GaussianWithScanSucceeds) {

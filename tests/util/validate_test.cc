@@ -95,14 +95,6 @@ TEST(CheckBandwidthTest, EnforcesRange) {
   EXPECT_TRUE(CheckBandwidth(kNan).IsInvalidArgument());
 }
 
-TEST(CheckRegionTest, RejectsEmptyInvertedAndNonFinite) {
-  EXPECT_TRUE(CheckRegion(0.0, 0.0, 10.0, 5.0).ok());
-  EXPECT_TRUE(CheckRegion(0.0, 0.0, 0.0, 5.0).IsInvalidArgument());  // empty x
-  EXPECT_TRUE(CheckRegion(10.0, 0.0, 0.0, 5.0).IsInvalidArgument());
-  EXPECT_TRUE(CheckRegion(kNan, 0.0, 10.0, 5.0).IsInvalidArgument());
-  EXPECT_TRUE(CheckRegion(0.0, 0.0, kInf, 5.0).IsInvalidArgument());
-}
-
 TEST(CanonicalizeCoordinateTest, FlushesNegativeZeroAndSubnormals) {
   EXPECT_FALSE(std::signbit(CanonicalizeCoordinate(-0.0)));
   EXPECT_EQ(CanonicalizeCoordinate(-0.0), 0.0);

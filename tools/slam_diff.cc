@@ -21,6 +21,7 @@
 #include "testing/oracle.h"
 #include "util/flags.h"
 #include "util/string_util.h"
+#include "util/validate.h"
 
 namespace slam {
 namespace {
@@ -108,7 +109,7 @@ int RunOrDie(int argc, char** argv) {
                  "method conditioning)");
   parser.AddString("simd", &simd_name,
                    "sweep-method instruction-set backend: auto, scalar, "
-                   "avx2, neon (pinning an unavailable one fails)");
+                   "avx2 (pinning an unavailable one fails)");
 
   const auto positional = parser.Parse(argc, argv);
   positional.status().AbortIfNotOk();
@@ -154,6 +155,10 @@ int RunOrDie(int argc, char** argv) {
     bandwidth = *scott;
   }
   bandwidth *= bandwidth_scale;
+  if (const Status valid = CheckBandwidth(bandwidth); !valid.ok()) {
+    std::fprintf(stderr, "%s\n", valid.ToString().c_str());
+    return 2;
+  }
   const auto viewport = DatasetViewport(dataset, width, height);
   viewport.status().AbortIfNotOk();
 

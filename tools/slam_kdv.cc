@@ -7,7 +7,6 @@
 //   slam_kdv --input events.csv --kernel quartic --width 1280 --height 960
 //   slam_kdv --city ny --filter-year 2019 --hotspots 5 --ascii
 //   slam_kdv --city sf --method scan --compare   (oracle cross-check)
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
@@ -17,7 +16,6 @@
 #include "explore/degrade.h"
 #include "explore/filter.h"
 #include "explore/viewport_ops.h"
-#include "serve/resilient_render.h"
 #include "simd/dispatch.h"
 #include "kdv/bandwidth.h"
 #include "kdv/engine.h"
@@ -27,11 +25,16 @@
 #include "util/flags.h"
 #include "util/string_util.h"
 #include "util/timer.h"
+#include "util/validate.h"
 #include "viz/ascii.h"
 #include "viz/render.h"
 
 namespace slam {
 namespace {
+
+// Half-resolution rungs --degrade may descend before giving up (or, with
+// --degrade sample, before the Z-order sampled rung).
+constexpr int kMaxHalvings = 2;
 
 Result<City> CityFromName(const std::string& name) {
   const std::string lower = ToLower(name);
@@ -55,8 +58,7 @@ int RunOrDie(int argc, char** argv) {
   std::string colormap_name = "heat";
   double scale = 0.02, bandwidth = 0.0, bandwidth_scale = 1.0, gamma = 0.5;
   int width = 640, height = 480, filter_year = 0, category = -1;
-  int hotspots = 0, threads = 1, retries = 1;
-  double retry_backoff_ms = 10.0;
+  int hotspots = 0, threads = 1;
   std::string diff_reference, degrade_name = "off", simd_name = "auto";
   int64_t seed = 42, timeout_ms = 0, memory_budget_mb = 0;
   bool ascii = false, compare = false, sanitize = false, recenter = true;
@@ -112,18 +114,12 @@ int RunOrDie(int argc, char** argv) {
   parser.AddBool("sanitize", &sanitize,
                  "drop input rows with NaN/Inf coordinates instead of "
                  "failing");
-  parser.AddInt("retries", &retries,
-                "engine attempts per fidelity level on transient errors "
-                "(1 = no retry)");
-  parser.AddDouble("retry-backoff-ms", &retry_backoff_ms,
-                   "initial backoff between retries, with decorrelated "
-                   "jitter and never past --timeout-ms");
   parser.AddString("degrade", &degrade_name,
                    "under deadline/memory pressure serve a reduced-fidelity "
                    "answer: off, halfres, sample");
   parser.AddString("simd", &simd_name,
                    "sweep-method instruction-set backend: auto, scalar, "
-                   "avx2, neon (pinning an unavailable one fails)");
+                   "avx2 (pinning an unavailable one fails)");
 
   const auto positional = parser.Parse(argc, argv);
   positional.status().AbortIfNotOk();
@@ -219,6 +215,10 @@ int RunOrDie(int argc, char** argv) {
     std::printf("Scott bandwidth: %.2f\n", bandwidth);
   }
   bandwidth *= bandwidth_scale;
+  if (const Status valid = CheckBandwidth(bandwidth); !valid.ok()) {
+    std::fprintf(stderr, "slam_kdv: %s\n", valid.message().c_str());
+    return 2;
+  }
   const auto viewport = DatasetViewport(dataset, width, height);
   if (!viewport.ok()) {
     std::fprintf(stderr, "slam_kdv: %s\n",
@@ -234,14 +234,9 @@ int RunOrDie(int argc, char** argv) {
                  degrade_mode.status().message().c_str());
     return 2;
   }
-  if (retries < 1) {
-    std::fprintf(stderr, "--retries must be >= 1\n");
-    return 2;
-  }
-  const bool resilient = retries > 1 || *degrade_mode != DegradeMode::kOff;
-  if (resilient && threads > 1) {
+  if (*degrade_mode != DegradeMode::kOff && threads > 1) {
     std::fprintf(stderr,
-                 "--retries/--degrade run the serial resilient loop and are "
+                 "--degrade runs the serial degradation ladder and is "
                  "incompatible with --threads > 1\n");
     return 2;
   }
@@ -249,9 +244,9 @@ int RunOrDie(int argc, char** argv) {
   const Deadline deadline(static_cast<double>(timeout_ms) / 1e3);
   MemoryBudget budget(static_cast<size_t>(memory_budget_mb) << 20);
   ExecContext exec;
-  // The resilient loop layers the deadline itself (it needs to see the
-  // request budget to schedule backoff and descend the ladder).
-  if (timeout_ms > 0 && !resilient) exec.set_deadline(&deadline);
+  // One request deadline shared by every ladder rung: once it expires,
+  // each later rung fails before doing any work.
+  if (timeout_ms > 0) exec.set_deadline(&deadline);
   if (memory_budget_mb > 0) exec.set_memory_budget(&budget);
   const auto simd = SimdLevelFromName(simd_name);
   if (!simd.ok()) {
@@ -273,45 +268,30 @@ int RunOrDie(int argc, char** argv) {
 
   Timer timer;
   Result<DensityMap> map = Status::Internal("unset");
+  Method served_method = *method;
   Fidelity fidelity = Fidelity::kFull;
-  if (resilient) {
-    ResilientRenderParams params;
-    params.data = &dataset;
-    params.region = viewport->region();
-    params.width_px = width;
-    params.height_px = height;
-    params.kernel = *kernel;
-    params.bandwidth = bandwidth;
-    params.method = *method;
-    params.engine = engine;
-    params.degrade_mode = *degrade_mode;
-    params.retry.max_attempts = retries;
-    params.retry.backoff.initial_seconds = retry_backoff_ms / 1e3;
-    params.retry.backoff.max_seconds =
-        std::max(retry_backoff_ms / 1e3, 1.0);
-    params.retry_seed = static_cast<uint64_t>(seed);
-    auto outcome =
-        RenderResilient(params, timeout_ms > 0 ? &deadline : nullptr);
-    if (outcome.ok()) {
-      fidelity = outcome->fidelity;
-      if (outcome->degrade_level > 0 || outcome->retries > 0) {
-        std::printf("resilient: served %s (ladder level %d) after %d "
-                    "attempt(s), %d retr%s\n",
-                    std::string(FidelityName(outcome->fidelity)).c_str(),
-                    outcome->degrade_level, outcome->attempts,
-                    outcome->retries, outcome->retries == 1 ? "y" : "ies");
-      }
-      map = std::move(outcome->map);
-    } else {
-      map = outcome.status();
-    }
-  } else if (threads > 1) {
+  if (threads > 1) {
     ParallelOptions parallel;
     parallel.num_threads = threads;
     parallel.engine = engine;
     map = ComputeKdvParallel(task, *method, parallel);
   } else {
-    map = ComputeKdv(task, *method, engine);
+    // --degrade off is the ladder's single full-resolution rung.
+    auto outcome = RenderOnLadder(dataset, *viewport, *kernel, bandwidth,
+                                  *method, engine, *degrade_mode,
+                                  kMaxHalvings, /*rung_budget_seconds=*/0.0);
+    if (outcome.ok()) {
+      if (outcome->degrade_level > 0) {
+        std::printf("degraded: served %s (ladder level %d)\n",
+                    std::string(FidelityName(outcome->fidelity)).c_str(),
+                    outcome->degrade_level);
+      }
+      served_method = outcome->method;
+      fidelity = outcome->fidelity;
+      map = std::move(outcome->map);
+    } else {
+      map = outcome.status();
+    }
   }
   if (!map.ok()) {
     const StatusCode code = map.status().code();
@@ -331,7 +311,7 @@ int RunOrDie(int argc, char** argv) {
   }
   map.status().AbortIfNotOk();
   std::printf("%s (%s kernel, b=%.2f, %dx%d): %s\n",
-              std::string(MethodName(*method)).c_str(),
+              std::string(MethodName(served_method)).c_str(),
               std::string(KernelTypeName(*kernel)).c_str(), bandwidth,
               map->width(), map->height(),
               FormatDuration(timer.ElapsedSeconds()).c_str());
