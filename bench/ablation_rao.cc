@@ -3,14 +3,18 @@
 //  1. RAO on/off across viewport aspect ratios at constant pixel count —
 //     RAO should only matter (and always help) when Y > X.
 //  2. SLAM_SORT vs SLAM_BUCKET at growing n — the log n gap.
-//  3. The incremental-envelope extension vs the paper's per-row scan.
+//  3. The paper's per-row envelope scan vs the live envelope, the only
+//     library path (envelope pass alone, every row of one task).
 #include <benchmark/benchmark.h>
 
+#include "core/envelope.h"
 #include "core/slam_bucket.h"
 #include "core/slam_sort.h"
+#include "core/sweep_arena.h"
 #include "data/generators.h"
 #include "data/sampling.h"
 #include "kdv/engine.h"
+#include "simd/sweep_ops.h"
 #include "util/string_util.h"
 
 namespace slam {
@@ -78,23 +82,38 @@ BENCHMARK(BM_SortVsBucket)
     ->Args({25000, 1})
     ->Unit(benchmark::kMillisecond);
 
-/// The paper's per-row O(n) envelope scan vs the y-sorted incremental
-/// envelope (our exact extension, off by default).
+/// E(k) for every row of one task: the paper's O(n) per-row scan (Lemma 1,
+/// the dispatched envelope_filter) vs the live envelope the sweep runs,
+/// which each point enters once. Both emit the same lanes.
 void BM_EnvelopeStrategy(benchmark::State& state) {
-  const bool incremental = state.range(0) != 0;
+  const bool live = state.range(0) != 0;
   const auto& ds = SharedCity();
   const auto viewport = *Viewport::Create(ds.Extent(), 160, 120);
   const KdvTask task =
       MakeTask(ds, viewport, KernelType::kEpanechnikov, 1500.0);
-  ComputeOptions options;
-  options.incremental_envelope = incremental;
-  DensityMap out;
+  const SimdOps* ops = *GetSimdOps(SimdLevel::kAuto);
+  const GridAxis& rows = task.grid.y_axis();
+  SweepArena ws;
   for (auto _ : state) {
-    const Status st = ComputeSlamBucket(task, options, &out);
-    if (!st.ok()) state.SkipWithError(st.ToString().c_str());
-    benchmark::DoNotOptimize(out.MaxValue());
+    size_t members = 0;
+    if (live) {
+      LiveEnvelope envelope(task.points, rows, task.bandwidth, &ws);
+      envelope.Plan();
+      envelope.Order();
+      for (RowIndex iy(0); iy < RowIndex(rows.count); ++iy) {
+        members += envelope.Advance(iy);
+      }
+    } else {
+      ws.PrepareCompute(task.points.size(), task.grid.x_axis());
+      for (int iy = 0; iy < rows.count; ++iy) {
+        members += ops->envelope_filter(task.points, rows.Coord(iy),
+                                        task.bandwidth, ws.ex.data(),
+                                        ws.ey.data());
+      }
+    }
+    benchmark::DoNotOptimize(members);
   }
-  state.SetLabel(incremental ? "incremental-envelope" : "per-row-scan");
+  state.SetLabel(live ? "live-envelope" : "per-row-scan");
 }
 BENCHMARK(BM_EnvelopeStrategy)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 

@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark) of SLAM's building blocks, backing
 // the ablation notes in DESIGN.md §4:
-//  * envelope discovery: paper's O(n) per-row scan vs the y-sorted
-//    EnvelopeScanner extension;
+//  * envelope discovery: the paper's O(n) per-row scan (the live envelope
+//    that replaces it in the sweep is timed in ablation_rao.cc);
 //  * per-row endpoint ordering: sorting vs bucketing (the log n factor
 //    Theorem 2 removes);
 //  * aggregate maintenance cost per kernel (1 vs 4 vs 9 aggregate values);
@@ -41,18 +41,6 @@ void BM_EnvelopeLinearScan(benchmark::State& state) {
                           static_cast<int64_t>(ds.size()));
 }
 BENCHMARK(BM_EnvelopeLinearScan);
-
-void BM_EnvelopeSortedScanner(benchmark::State& state) {
-  const auto& ds = SharedCity();
-  const double b = 600.0;
-  const WorldY k(ds.Extent().center().y);
-  const EnvelopeScanner scanner(ds.coords());
-  for (auto _ : state) {
-    const auto env = scanner.Envelope(k, b);
-    benchmark::DoNotOptimize(env.data());
-  }
-}
-BENCHMARK(BM_EnvelopeSortedScanner);
 
 void BM_BoundIntervalComputation(benchmark::State& state) {
   const auto& ds = SharedCity();

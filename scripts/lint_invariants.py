@@ -24,8 +24,6 @@ DESIGN.md §13); this linter keeps the purely textual rules:
                      pixel-binned counting sort (simd histogram_scatter,
                      DESIGN.md §12), and a comparison sort silently
                      reintroduces the O(n log n) per row that PR 9 removed.
-                     Legitimate once-per-compute sorts (the y-sorted
-                     envelope scanner) carry explicit waivers.
 
   retry-backoff      A loop whose header names a retry/attempt counter must
                      sleep a backoff between attempts or poll its budget

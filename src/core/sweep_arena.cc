@@ -15,6 +15,10 @@ thread_local bool t_thread_arena_in_use = false;
 void SweepArena::PrepareCompute(size_t num_points, const GridAxis& xs) {
   ex.resize(num_points);
   ey.resize(num_points);
+  PrepareAxis(xs);
+}
+
+void SweepArena::PrepareAxis(const GridAxis& xs) {
   const size_t pixels = CheckedSize(xs.count);
   // size_t arithmetic: pixels + 2 overflows `int` when the axis is within
   // 2 pixels of INT_MAX (regression test in tests/kdv/grid_overflow_test.cc).
@@ -51,11 +55,14 @@ void SweepArena::PrepareRow(size_t num_endpoints) {
 }
 
 size_t SweepArena::HeapBytes() const {
-  return (ex.capacity() + ey.capacity() + lb.capacity() + ub.capacity() +
+  return (ex.capacity() + ey.capacity() + prev_ex.capacity() +
+          prev_ey.capacity() + lb.capacity() + ub.capacity() +
           lower_px.capacity() + lower_py.capacity() + upper_px.capacity() +
           upper_py.capacity() + qx.capacity()) *
              sizeof(double) +
-         (lower_idx.capacity() + upper_idx.capacity() +
+         (entry_row.capacity() + row_offsets.capacity() +
+          row_exits.capacity() + entering.capacity() + eidx.capacity() +
+          prev_idx.capacity() + lower_idx.capacity() + upper_idx.capacity() +
           lower_offsets.capacity() + upper_offsets.capacity() +
           lower_cursor.capacity() + upper_cursor.capacity()) *
              sizeof(int32_t) +

@@ -27,9 +27,22 @@
 namespace slam {
 
 struct SweepArena {
-  // SoA envelope (global coordinates) and interval endpoints.
+  // SoA envelope of the current row (global coordinates, input order) and
+  // its interval endpoints.
   std::vector<double> ex, ey;
   std::vector<double> lb, ub;
+  // The live envelope (LiveEnvelope, core/envelope.h). Per point: its entry
+  // row. Per row: the start of its entering bucket (Y + 2 offsets) and the
+  // number of points leaving there (Y + 1, for sizing only). `entering`
+  // holds the indices of the points that meet any row, stable-sorted by
+  // entry row. `eidx` is the point-index lane beside ex/ey; prev_* hold the
+  // previous row's envelope, which the next row merges from. The envelope
+  // lanes are sized to max |E(k)| + 1, not to the point count.
+  std::vector<int32_t> entry_row;
+  std::vector<int32_t> row_offsets, row_exits;
+  std::vector<int32_t> entering;
+  std::vector<int32_t> eidx, prev_idx;
+  std::vector<double> prev_ex, prev_ey;
   // Pixel bucket of every endpoint (the bucket_indices pass).
   std::vector<int32_t> lower_idx, upper_idx;
   // Per-pixel run offsets (X + 2) and scatter cursors (X + 1) for the
@@ -44,11 +57,15 @@ struct SweepArena {
   std::vector<double> qx;
   RowSweepScratch scratch;
 
-  /// Sizes the per-compute lanes: envelope lanes to the full point count
-  /// (the dispatched filter writes survivors through a raw cursor, whole
-  /// registers at a time — see SimdOps::envelope_filter), offset/cursor
-  /// arrays to the pixel axis, and qx filled unless the cache key (origin,
-  /// gap, count) already matches.
+  /// Sizes the per-pixel lanes: offset/cursor arrays to the pixel axis, and
+  /// qx filled unless the cache key (origin, gap, count) already matches.
+  void PrepareAxis(const GridAxis& xs);
+
+  /// PrepareAxis plus ex/ey sized to the full point count, the contract of
+  /// the per-row full scan SimdOps::envelope_filter (its vector backends
+  /// write survivors through a raw cursor, whole registers at a time). The
+  /// library's sweep finds envelopes with LiveEnvelope instead; this entry
+  /// point serves external drivers that replay the paper's O(n) scan.
   void PrepareCompute(size_t num_points, const GridAxis& xs);
 
   /// Sizes the per-row endpoint lanes for `num_endpoints` envelope points.

@@ -1,7 +1,6 @@
 #include "core/sweep_rows.h"
 
 #include <limits>
-#include <memory>
 #include <string>
 #include <utility>
 
@@ -9,28 +8,9 @@
 #include "core/sweep_arena.h"
 #include "core/sweep_state.h"
 #include "simd/sweep_ops.h"
-#include "util/narrow.h"
 #include "util/units.h"
 
 namespace slam {
-
-namespace {
-
-/// Copies an AoS envelope span (from the y-sorted scanner) into the SoA
-/// lanes (caller-sized to the full point count) and returns its size.
-/// The lanes are typed at this boundary (TypedLane, util/units.h): the
-/// compiler rejects scattering a y coordinate into the x lane; only the
-/// dispatched backends below ever see the raw doubles.
-size_t SoaFromSpan(std::span<const Point> envelope, TypedLane<WorldX> ex,
-                   TypedLane<WorldY> ey) {
-  for (size_t i = 0; i < envelope.size(); ++i) {
-    ex.Store(i, WorldX(envelope[i].x));
-    ey.Store(i, WorldY(envelope[i].y));
-  }
-  return envelope.size();
-}
-
-}  // namespace
 
 Status ComputeEndpointSweep(const KdvTask& task, const ComputeOptions& options,
                             const SweepMethodLabels& labels, DensityMap* out) {
@@ -44,8 +24,9 @@ Status ComputeEndpointSweep(const KdvTask& task, const ComputeOptions& options,
   if (task.points.size() >
       static_cast<size_t>(std::numeric_limits<int32_t>::max())) {
     // The per-pixel run offsets and scatter cursors count endpoints in
-    // int32_t (the SIMD run representation, simd/sweep_ops.h); beyond
-    // 2^31 - 1 points per row they would wrap.
+    // int32_t (the SIMD run representation, simd/sweep_ops.h), and the
+    // live envelope indexes points in int32_t; beyond 2^31 - 1 points they
+    // would wrap.
     return Status::InvalidArgument(std::string(labels.method) +
                                    " supports at most 2^31 - 1 points");
   }
@@ -54,30 +35,35 @@ Status ComputeEndpointSweep(const KdvTask& task, const ComputeOptions& options,
                                                            task.grid.height()));
   const ExecContext* exec = options.exec;
   ScopedMemoryCharge charge(exec, labels.workspace);
-  // The y-sorted scanner is an optional exact optimization; Algorithms 1-2
-  // rescan all n points per row.
-  std::unique_ptr<EnvelopeScanner> scanner;
-  if (options.incremental_envelope) {
-    SLAM_RETURN_NOT_OK(charge.Update(task.points.size() * sizeof(Point)));
-    scanner = std::make_unique<EnvelopeScanner>(task.points);
-  }
-  const size_t scanner_bytes = scanner ? scanner->size() * sizeof(Point) : 0;
-
   const GridAxis& xs = task.grid.x_axis();
   const RowIndex rows(task.grid.height());
   ScopedArena ws;
-  ws->PrepareCompute(task.points.size(), xs);
+  // Every lane is charged once sized and before it is filled, so a budget
+  // refusal comes before the work. On failure the cached capacity is
+  // dropped: the arena outlives this compute, and a refusal must not be
+  // sticky for the thread's next (possibly smaller) task.
+  auto charge_arena = [&]() -> Status {
+    Status charged = charge.Update(ws->HeapBytes());
+    if (!charged.ok()) ws->Release();
+    return charged;
+  };
+  ws->PrepareAxis(xs);
+  // Algorithms 1-2 rescan all n points per row for E(k) (Lemma 1); the
+  // live envelope gives each row the identical lanes from the previous
+  // row's envelope plus the points entering there (core/envelope.h).
+  LiveEnvelope envelope(task.points, task.grid.y_axis(), task.bandwidth,
+                        &*ws);
+  SLAM_RETURN_NOT_OK(charge_arena());
+  envelope.Plan();
+  // Endpoint lanes at the largest envelope up front: no row reallocates.
+  ws->PrepareRow(envelope.max_size());
+  SLAM_RETURN_NOT_OK(charge_arena());
+  envelope.Order();
   for (RowIndex iy(0); iy < rows; ++iy) {
     SLAM_RETURN_NOT_OK(ExecCheck(exec, labels.row));
     const WorldY k = task.grid.YCoord(iy);
     const Point origin = RowLocalOrigin(xs, k);
-    const size_t lane_size = task.points.size();
-    const size_t m =
-        scanner ? SoaFromSpan(scanner->Envelope(k, task.bandwidth),
-                              TypedLane<WorldX>(ws->ex.data(), lane_size),
-                              TypedLane<WorldY>(ws->ey.data(), lane_size))
-                : ops->envelope_filter(task.points, k.value(), task.bandwidth,
-                                       ws->ex.data(), ws->ey.data());
+    const size_t m = envelope.Advance(iy);
     ws->PrepareRow(m);
     ops->bound_intervals(ws->ex.data(), ws->ey.data(), m, k.value(),
                          task.bandwidth, ws->lb.data(), ws->ub.data());
@@ -103,14 +89,9 @@ Status ComputeEndpointSweep(const KdvTask& task, const ComputeOptions& options,
     hs.upper_py = ws->upper_py.data();
     ops->histogram_scatter(hs);
 
-    if (Status charged = charge.Update(scanner_bytes + ws->HeapBytes());
-        !charged.ok()) {
-      // Drop the cached capacity before surfacing the failure: the arena
-      // outlives this compute, and a budget refusal must not be sticky for
-      // the thread's next (possibly smaller) task.
-      ws->Release();
-      return charged;
-    }
+    // Re-charged every row: the vector row sweeps grow their scratch lanes
+    // on first use.
+    SLAM_RETURN_NOT_OK(charge_arena());
 
     RowSweepArgs args;
     args.kernel = task.kernel;

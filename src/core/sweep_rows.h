@@ -1,9 +1,10 @@
 // The shared row driver behind SLAM_SORT and SLAM_BUCKET (DESIGN.md §12).
 // Since the pixel-binned counting sort replaced SLAM_SORT's per-row
-// comparison sort, both methods run the identical five dispatched passes
-// (simd/sweep_ops.h) per row; only their public names — checkpoint sites,
-// budget-charge tags, error messages — differ, so they share one driver
-// parameterized on those labels.
+// comparison sort, both methods run the identical row pipeline: the live
+// envelope (core/envelope.h) hands each row E(k), then four dispatched
+// passes (simd/sweep_ops.h) sweep it. Only their public names — checkpoint
+// sites, budget-charge tags, error messages — differ, so they share one
+// driver parameterized on those labels.
 #pragma once
 
 #include "kdv/density_map.h"

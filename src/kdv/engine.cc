@@ -211,17 +211,28 @@ size_t EstimateAuxiliarySpaceBytes(Method method, size_t n, int width,
     case Method::kSlamBucket:
     case Method::kSlamBucketRao: {
       // Both sweep methods run the shared counting-sort driver
-      // (core/sweep_rows.cc) on one SweepArena: SoA envelope + interval +
-      // scattered endpoint lanes (8 doubles per point) + per-endpoint
-      // bucket indices (2 int32), plus bucket offset/cursor arrays and the
-      // per-pixel lanes (<= 12 snapshot channels + qx, 13 doubles per
-      // pixel) spanning the swept axis. RAO sweeps min(X, Y) lines of
-      // max(X, Y) pixels, so its per-pixel arrays span the longer axis.
-      const size_t x = static_cast<size_t>((method == Method::kSlamSortRao ||
-                                            method == Method::kSlamBucketRao)
-                                               ? std::max(width, height)
-                                               : width);
-      return n * (point_bytes + sizeof(double) * 8 + sizeof(int32_t) * 2) +
+      // (core/sweep_rows.cc) on one SweepArena, plus RAO's transposed
+      // point copy (one Point per point). The arena's lanes at the worst
+      // case max |E(k)| = n, where b spans every row:
+      //  * live envelope (core/envelope.h): entry row and entering order
+      //    (2 int32 per point); current and previous envelope x/y and
+      //    point index (4 doubles + 2 int32 per point, plus one slot);
+      //    entering offsets and exit counts per swept line (2 int32);
+      //  * interval + scattered endpoint lanes (6 doubles per point) and
+      //    per-endpoint bucket indices (2 int32);
+      //  * bucket offset/cursor arrays and the per-pixel lanes (<= 12
+      //    snapshot channels + qx, 13 doubles per pixel).
+      // RAO sweeps min(X, Y) lines of max(X, Y) pixels, so its per-pixel
+      // arrays span the longer axis and its per-line ones the shorter.
+      const bool rao = method == Method::kSlamSortRao ||
+                       method == Method::kSlamBucketRao;
+      const size_t x =
+          static_cast<size_t>(rao ? std::max(width, height) : width);
+      const size_t lines =
+          static_cast<size_t>(rao ? std::min(width, height) : height);
+      return n * (point_bytes + sizeof(double) * 10 + sizeof(int32_t) * 6) +
+             (sizeof(double) * 4 + sizeof(int32_t) * 2) +
+             (2 * lines + 3) * sizeof(int32_t) +
              (x + 2) * sizeof(int32_t) * 4 + x * sizeof(double) * 13;
     }
   }

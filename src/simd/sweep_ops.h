@@ -3,7 +3,10 @@
 //
 // A row sweep decomposes into five data-parallel passes:
 //   1. envelope_filter — E(k) membership test over all points, emitting the
-//      survivors as SoA coordinate lanes (x[], y[]).
+//      survivors as SoA coordinate lanes (x[], y[]). This is the paper's
+//      O(n) per-row scan (Lemma 1), kept as the reference: the library's
+//      sweep gets the identical lanes from core/envelope.h's LiveEnvelope,
+//      which each point enters once per compute.
 //   2. bound_intervals — per envelope point, the sweep interval
 //      [p.x − √(b² − dy²), p.x + √(b² − dy²)] (paper Eqs. 8–9) into
 //      contiguous lb[]/ub[] lanes.

@@ -12,6 +12,7 @@
 #include "core/bounds.h"
 #include "core/envelope.h"
 #include "core/slam_bucket.h"
+#include "core/sweep_arena.h"
 #include "kdv/engine.h"
 #include "kdv/task.h"
 #include "testing/test_util.h"
@@ -29,9 +30,20 @@ Grid BoundaryGrid() {
       .ValueOrDie();
 }
 
+/// The live envelope of a one-row grid at `k`: E(k) as the sweep sees it.
+std::vector<Point> LiveEnvelopeAt(const std::vector<Point>& points, double k) {
+  SweepArena ws;
+  LiveEnvelope envelope(points, GridAxis{k, 1.0, 1}, kBandwidth, &ws);
+  envelope.Plan();
+  envelope.Order();
+  const size_t m = envelope.Advance(RowIndex(0));
+  std::vector<Point> found;
+  for (size_t i = 0; i < m; ++i) found.push_back({ws.ex[i], ws.ey[i]});
+  return found;
+}
+
 TEST(BoundaryTest, EnvelopeIncludesRowAtDistanceExactlyB) {
   const std::vector<Point> points = {{3.5, 3.5}};
-  const EnvelopeScanner scanner(points);
   std::vector<Point> found;
   // Rows exactly b above and below the point: Definition 1 is inclusive.
   for (const double k : {3.5 - kBandwidth, 3.5 + kBandwidth}) {
@@ -39,10 +51,10 @@ TEST(BoundaryTest, EnvelopeIncludesRowAtDistanceExactlyB) {
     ASSERT_EQ(found.size(), 1u) << "FindEnvelope at k=" << k;
     EXPECT_EQ(found[0].x, 3.5);
     EXPECT_EQ(found[0].y, 3.5);
-    const auto span = scanner.Envelope(WorldY(k), kBandwidth);
-    ASSERT_EQ(span.size(), 1u) << "EnvelopeScanner at k=" << k;
-    EXPECT_EQ(span[0].x, found[0].x);
-    EXPECT_EQ(span[0].y, found[0].y);
+    const std::vector<Point> live = LiveEnvelopeAt(points, k);
+    ASSERT_EQ(live.size(), 1u) << "LiveEnvelope at k=" << k;
+    EXPECT_EQ(live[0].x, found[0].x);
+    EXPECT_EQ(live[0].y, found[0].y);
   }
   // One ulp past the boundary row: excluded by both. (Computed directly
   // on the row coordinate — adding a perturbed bandwidth to 3.5 would
@@ -50,7 +62,7 @@ TEST(BoundaryTest, EnvelopeIncludesRowAtDistanceExactlyB) {
   const double beyond = std::nextafter(3.5 + kBandwidth, 10.0);
   FindEnvelope(points, WorldY(beyond), kBandwidth, &found);
   EXPECT_TRUE(found.empty());
-  EXPECT_TRUE(scanner.Envelope(WorldY(beyond), kBandwidth).empty());
+  EXPECT_TRUE(LiveEnvelopeAt(points, beyond).empty());
 }
 
 TEST(BoundaryTest, BoundIntervalsAtExactRowDistanceCollapseToPoint) {

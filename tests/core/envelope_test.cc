@@ -2,14 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
-#include "testing/test_util.h"
+#include <cmath>
+#include <vector>
 
 namespace slam {
 namespace {
-
-using testing::RandomPoints;
 
 TEST(FindEnvelopeTest, FiltersByYDistance) {
   const std::vector<Point> pts{{0, 0}, {5, 1}, {9, -2}, {3, 2.01}, {7, -2.01}};
@@ -40,51 +37,6 @@ TEST(FindEnvelopeTest, EmptyInputs) {
   const std::vector<Point> pts{{0, 100}};
   FindEnvelope(pts, WorldY(0.0), 1.0, &env);
   EXPECT_TRUE(env.empty());
-}
-
-TEST(EnvelopeScannerTest, MatchesLinearScan) {
-  const auto pts = RandomPoints(2000, 100.0, 181);
-  const EnvelopeScanner scanner(pts);
-  EXPECT_EQ(scanner.size(), pts.size());
-  Rng rng(191);
-  std::vector<Point> expected;
-  for (int trial = 0; trial < 50; ++trial) {
-    const double k = rng.Uniform(-10, 110);
-    const double b = rng.Uniform(0.1, 20.0);
-    FindEnvelope(pts, WorldY(k), b, &expected);
-    const auto got = scanner.Envelope(WorldY(k), b);
-    ASSERT_EQ(got.size(), expected.size()) << "k=" << k << " b=" << b;
-    // Same multiset of points (scanner returns y-sorted order).
-    double sum_exp = 0.0, sum_got = 0.0;
-    for (const Point& p : expected) sum_exp += p.x + 1000.0 * p.y;
-    for (const Point& p : got) sum_got += p.x + 1000.0 * p.y;
-    EXPECT_NEAR(sum_exp, sum_got, 1e-6);
-  }
-}
-
-TEST(EnvelopeScannerTest, EnvelopeIsContiguousAndSorted) {
-  const auto pts = RandomPoints(500, 50.0, 193);
-  const EnvelopeScanner scanner(pts);
-  const auto env = scanner.Envelope(WorldY(25.0), 5.0);
-  for (size_t i = 1; i < env.size(); ++i) {
-    EXPECT_LE(env[i - 1].y, env[i].y);
-  }
-  for (const Point& p : env) {
-    EXPECT_GE(p.y, 20.0);
-    EXPECT_LE(p.y, 30.0);
-  }
-}
-
-TEST(EnvelopeScannerTest, EmptyScanner) {
-  const EnvelopeScanner scanner({});
-  EXPECT_TRUE(scanner.Envelope(WorldY(0.0), 10.0).empty());
-}
-
-TEST(EnvelopeScannerTest, RowOutsideDataIsEmpty) {
-  const auto pts = RandomPoints(100, 10.0, 197);
-  const EnvelopeScanner scanner(pts);
-  EXPECT_TRUE(scanner.Envelope(WorldY(1000.0), 5.0).empty());
-  EXPECT_TRUE(scanner.Envelope(WorldY(-1000.0), 5.0).empty());
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/slam_sort.h"
+#include "testing/full_scan_sweep.h"
 #include "testing/test_util.h"
 
 namespace slam {
@@ -52,15 +53,15 @@ TEST(SlamBucketTest, AgreesWithSlamSortExactly) {
 }
 
 TEST(SlamBucketTest, IncrementalEnvelopeGivesSameResult) {
+  // The live (incremental) envelope against the paper's per-row scan.
   const auto pts = ClusteredPoints(500, 60.0, 3, 271);
   const KdvTask task =
       MakeBucketTask(pts, KernelType::kUniform, 8.0, 20, 20, 60.0);
-  DensityMap default_env, incremental_env;
-  ASSERT_TRUE(ComputeSlamBucket(task, {}, &default_env).ok());
-  ComputeOptions opts;
-  opts.incremental_envelope = true;
-  ASSERT_TRUE(ComputeSlamBucket(task, opts, &incremental_env).ok());
-  ExpectMapsNear(default_env, incremental_env, 1e-12);
+  DensityMap live_env;
+  ASSERT_TRUE(ComputeSlamBucket(task, {}, &live_env).ok());
+  const DensityMap scan_env =
+      testing::FullScanSweep(task, *GetSimdOps(SimdLevel::kAuto).ValueOrDie());
+  ExpectMapsNear(scan_env, live_env, 0.0);
 }
 
 TEST(SlamBucketTest, EmptyPointsGiveZeroRaster) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "testing/full_scan_sweep.h"
 #include "testing/test_util.h"
 
 namespace slam {
@@ -47,15 +48,15 @@ TEST(SlamSortTest, MatchesBruteForceClusteredData) {
 }
 
 TEST(SlamSortTest, IncrementalEnvelopeGivesSameResult) {
+  // The live (incremental) envelope against the paper's per-row scan.
   const auto pts = ClusteredPoints(500, 60.0, 3, 239);
   const KdvTask task =
       MakeSortTask(pts, KernelType::kQuartic, 8.0, 20, 20, 60.0);
-  DensityMap default_env, incremental_env;
-  ASSERT_TRUE(ComputeSlamSort(task, {}, &default_env).ok());
-  ComputeOptions opts;
-  opts.incremental_envelope = true;
-  ASSERT_TRUE(ComputeSlamSort(task, opts, &incremental_env).ok());
-  ExpectMapsNear(default_env, incremental_env, 1e-12);
+  DensityMap live_env;
+  ASSERT_TRUE(ComputeSlamSort(task, {}, &live_env).ok());
+  const DensityMap scan_env =
+      testing::FullScanSweep(task, *GetSimdOps(SimdLevel::kAuto).ValueOrDie());
+  ExpectMapsNear(scan_env, live_env, 0.0);
 }
 
 TEST(SlamSortTest, EmptyPointsGiveZeroRaster) {

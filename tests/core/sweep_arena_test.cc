@@ -133,8 +133,8 @@ TEST(SweepArenaTest, ReuseAcrossComputesDoesNotBleedStaleLanes) {
     const auto grow = ComputeKdv(big, method, {});
     ASSERT_TRUE(grow.ok()) << grow.status().ToString();
     // The thread arena kept the big task's capacity (that is the point of
-    // the cache)...
-    EXPECT_GE(ThreadSweepArenaForTest().ex.capacity(), 3000u);
+    // the cache): its per-point entry-row lane still spans 3000 points...
+    EXPECT_GE(ThreadSweepArenaForTest().entry_row.capacity(), 3000u);
     const auto second = ComputeKdv(small, method, {});
     ASSERT_TRUE(second.ok()) << second.status().ToString();
     // ...and the rerun is bit-identical to the pre-growth run: same code
